@@ -3,7 +3,7 @@ GO ?= go
 # Seconds of coverage-guided fuzzing per target in fuzz-smoke.
 FUZZTIME ?= 20s
 
-.PHONY: all build vet staticcheck lint test race bench-smoke errcheck crashcheck failovercheck ingestcheck fuzz-smoke e2e loadgen-smoke check
+.PHONY: all build vet staticcheck lint test race bench-smoke errcheck figcheck crashcheck failovercheck ingestcheck fuzz-smoke e2e loadgen-smoke check
 
 all: check
 
@@ -34,6 +34,15 @@ race:
 # One iteration of every benchmark, as a compile-and-run smoke test.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# Modeled-output gate: the figure generator's modeled numbers are
+# deterministic, so a pinned-scale sweep must reproduce the committed golden
+# byte for byte.  A change that moves any modeled figure regenerates the
+# golden with the same command in the same change and says why.
+figcheck:
+	$(GO) run ./cmd/benchfig -fig all -scale 0.1 > figcheck.out
+	diff -u cmd/benchfig/testdata/figures_scale0.1.txt figcheck.out
+	rm -f figcheck.out
 
 # ntalint: the repo's own analyzer suite (internal/lint) — persistcheck
 # (dropped persistence errors), determcheck (wall-clock / unseeded rand /
@@ -112,4 +121,4 @@ loadgen-smoke:
 	$(GO) run ./cmd/benchfig -fig loadgen -scale 0.05 -loadworkers 8 \
 		-loadrequests 64 -loadout ""
 
-check: build vet staticcheck lint test race bench-smoke crashcheck failovercheck ingestcheck fuzz-smoke e2e loadgen-smoke
+check: build vet staticcheck lint test race bench-smoke figcheck crashcheck failovercheck ingestcheck fuzz-smoke e2e loadgen-smoke

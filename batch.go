@@ -63,8 +63,8 @@ func (t Task) NeedsSequences() bool {
 	return t == TaskSequenceCount || t == TaskRankedInvertedIndex
 }
 
-// op returns the task's registered analytics op; k parameterizes the
-// term-vector length (0 selects the default).
+// op returns the task's registered analytics op; k is the term-vector
+// length (k <= 0 keeps every entry).
 func (t Task) op(k int) (analytics.Op, error) {
 	switch t {
 	case TaskWordCount:
@@ -72,9 +72,6 @@ func (t Task) op(k int) (analytics.Op, error) {
 	case TaskSort:
 		return analytics.SortOp{}, nil
 	case TaskTermVectors:
-		if k <= 0 {
-			k = analytics.DefaultTermVectorK
-		}
 		return analytics.TermVectorsOp{K: k}, nil
 	case TaskInvertedIndex:
 		return analytics.InvertedIndexOp{}, nil
@@ -166,9 +163,13 @@ func (b BatchSpec) Signature() string {
 
 // ops materializes the batch's analytics ops.
 func (b BatchSpec) ops() ([]analytics.Op, error) {
+	k := b.k
+	if k == 0 {
+		k = analytics.DefaultTermVectorK
+	}
 	ops := make([]analytics.Op, len(b.tasks))
 	for i, t := range b.tasks {
-		op, err := t.op(b.k)
+		op, err := t.op(k)
 		if err != nil {
 			return nil, err
 		}
@@ -205,26 +206,22 @@ func (e *Engine) RunSpec(spec BatchSpec) (*BatchResult, error) {
 	if len(spec.tasks) == 0 {
 		return &BatchResult{}, nil
 	}
-	x, ok := e.inner.(analytics.Executor)
-	if !ok {
-		return nil, fmt.Errorf("ntadoc: engine does not support batch execution")
-	}
 	ops, err := spec.ops()
 	if err != nil {
 		return nil, err
 	}
-	results, err := x.RunOps(ops)
+	results, err := e.x.RunOps(ops)
 	if err != nil {
 		return nil, err
 	}
-	return e.convertBatch(spec, results), nil
+	return e.convertBatch(spec.tasks, results), nil
 }
 
 // convertBatch maps the kernel's ID-keyed op results onto the public
-// string-keyed BatchResult, slot by slot in the spec's canonical order.
-func (e *Engine) convertBatch(spec BatchSpec, results []any) *BatchResult {
+// string-keyed BatchResult, slot by slot: results[i] is tasks[i]'s result.
+func (e *Engine) convertBatch(tasks []Task, results []any) *BatchResult {
 	out := &BatchResult{}
-	for i, t := range spec.tasks {
+	for i, t := range tasks {
 		switch t {
 		case TaskWordCount:
 			out.WordCount = e.convWordCounts(results[i].(map[uint32]uint64))
@@ -244,7 +241,7 @@ func (e *Engine) convertBatch(spec BatchSpec, results []any) *BatchResult {
 }
 
 // Conversions from internal ID-keyed results to the public string-keyed
-// forms, shared by the per-task methods and RunBatch.
+// forms, one per task slot of convertBatch.
 
 func (e *Engine) convWordCounts(counts map[uint32]uint64) map[string]uint64 {
 	out := make(map[string]uint64, len(counts))

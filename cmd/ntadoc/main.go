@@ -169,7 +169,7 @@ func cmdAnalyze(args []string) error {
 	task := fs.String("task", "wordcount", "comma-separated list of wordcount|sort|termvector|invertedindex|seqcount|rankedindex")
 	medium := fs.String("medium", "nvm", "nvm|dram|ssd|hdd")
 	top := fs.Int("top", 20, "print at most this many result lines per task (0 = all)")
-	pool := fs.String("pool", "", "file-backed NVM pool path (persists across runs)")
+	pool := fs.String("pool", "", "file-backed NVM pool path prefix: shard i's pool lives at PATH.shardI (persists across runs)")
 	serverURL := fs.String("server", "", "base URL of a running ntadocd daemon; queries it instead of opening an archive locally")
 	fs.Parse(args)
 

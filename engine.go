@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/text-analytics/ntadoc/internal/analytics"
+	"github.com/text-analytics/ntadoc/internal/cfg"
 	"github.com/text-analytics/ntadoc/internal/core"
 	"github.com/text-analytics/ntadoc/internal/dict"
 	"github.com/text-analytics/ntadoc/internal/nvm"
@@ -45,17 +46,20 @@ type Options struct {
 	Medium Medium
 	// Persistence selects the persistence strategy (N-TADOC media only).
 	Persistence Persistence
-	// PoolPath makes the NVM pool file-backed, surviving process restarts.
+	// PoolPath makes the NVM pools file-backed, surviving process restarts:
+	// shard i's pool lives at PoolPath + ".shardI" (".shard0" for an
+	// unsharded archive).
 	PoolPath string
 	// NoSequences skips the sequence-analytics preprocessing (head/tail
 	// structures, per-rule n-gram tables) at engine construction.  It makes
 	// construction substantially cheaper; SequenceCount and
 	// RankedInvertedIndex then return an error.
 	NoSequences bool
-	// Replicas keeps this many follower devices per shard (sharded N-TADOC
-	// media only): each shard ships every committed durable delta to its
-	// followers, and a query falls over to a follower — transparently, with
-	// bit-identical results — when the shard's primary device fails.
+	// Replicas keeps this many follower devices per shard (N-TADOC media
+	// only; an unsharded archive is one shard): each shard ships every
+	// committed durable delta to its followers, and a query falls over to a
+	// follower — transparently, with bit-identical results — when the
+	// shard's primary device fails.
 	Replicas int
 	// ReplicaReads lets multi-task batches split each shard's work between
 	// its primary and a read replica recovered from a follower image,
@@ -82,16 +86,15 @@ type DocCount struct {
 }
 
 // Engine runs the six analytics tasks over an archive.  Engines built on
-// MediumNVM/SSD/HDD are N-TADOC instances over a simulated persistent
-// device; MediumDRAM is the original TADOC baseline.  For a sharded archive
-// on N-TADOC media the engine is a sharded engine: one device and pool per
-// shard, built in parallel, with queries scattered across the shards and
-// gathered into corpus-wide results.
+// MediumNVM/SSD/HDD are N-TADOC instances over simulated persistent
+// devices: one device and pool per shard (an unsharded archive is one
+// shard), built in parallel, with queries scattered across the shards and
+// gathered into corpus-wide results.  MediumDRAM is the original TADOC
+// baseline.
 type Engine struct {
-	a     *Archive
-	inner analytics.Engine
-	nt    *core.Engine        // non-nil on unsharded N-TADOC media
-	sh    *core.ShardedEngine // non-nil on sharded N-TADOC media
+	a  *Archive
+	x  analytics.Executor  // the sharded engine, or TADOC on DRAM
+	sh *core.ShardedEngine // nil on DRAM
 
 	namesMu sync.RWMutex
 	names   []string // guarded by namesMu: global document index -> name
@@ -128,11 +131,11 @@ func NewEngine(a *Archive, opts Options) (*Engine, error) {
 	if opts.Medium == MediumDRAM {
 		// The DRAM baseline has no per-shard devices to parallelize over;
 		// it runs on the whole-corpus grammar view.
-		inner, err := tadoc.New(a.g, a.d, tadoc.Auto)
+		x, err := tadoc.New(a.g, a.d, tadoc.Auto)
 		if err != nil {
 			return nil, err
 		}
-		e.inner = inner
+		e.x = x
 		return e, nil
 	}
 	kind := nvm.KindNVM
@@ -153,53 +156,45 @@ func NewEngine(a *Archive, opts Options) (*Engine, error) {
 		Sequences:   !opts.NoSequences,
 		IngestCap:   opts.IngestCapacity,
 	}
-	if a.shards != nil {
-		if opts.Replicas > 0 {
-			copts.Replication = core.Replication{
-				Followers:    opts.Replicas,
-				Mode:         core.ShipSync,
-				ReplicaReads: opts.ReplicaReads,
-			}
+	if opts.Replicas > 0 {
+		copts.Replication = core.Replication{
+			Followers:    opts.Replicas,
+			Mode:         core.ShipSync,
+			ReplicaReads: opts.ReplicaReads,
 		}
-		if a.shared != nil {
-			// Tie every shard pool to this unified build: recovery rejects a
-			// device set mixing shards of different shared-rule containers.
-			copts.BuildTag = a.shared.Checksum()
-		}
-		sh, err := core.NewSharded(a.shards, a.d, copts)
-		if err != nil {
-			return nil, err
-		}
-		e.inner = sh
-		e.sh = sh
-		return e, nil
 	}
-	nt, err := core.New(a.g, a.d, copts)
+	if a.shared != nil {
+		// Tie every shard pool to this unified build: recovery rejects a
+		// device set mixing shards of different shared-rule containers.
+		copts.BuildTag = a.shared.Checksum()
+	}
+	shards := a.shards
+	if shards == nil {
+		shards = []*cfg.Grammar{a.g}
+	}
+	sh, err := core.NewSharded(shards, a.d, copts)
 	if err != nil {
 		return nil, err
 	}
-	e.inner = nt
-	e.nt = nt
+	e.x, e.sh = sh, sh
 	return e, nil
 }
 
 // Close releases the engine's simulated devices (no-op for DRAM engines).
 func (e *Engine) Close() error {
-	if e.nt != nil {
-		return e.nt.Close()
+	if e.sh == nil {
+		return nil
 	}
-	if e.sh != nil {
-		return e.sh.Close()
-	}
-	return nil
+	return e.sh.Close()
 }
 
-// NumShards returns the engine's shard count (1 for unsharded engines).
+// NumShards returns the engine's shard count (1 for unsharded archives and
+// DRAM engines).
 func (e *Engine) NumShards() int {
-	if e.sh != nil {
-		return e.sh.NumShards()
+	if e.sh == nil {
+		return 1
 	}
-	return 1
+	return e.sh.NumShards()
 }
 
 // Append tokenizes docs and appends them to the live corpus as one durable
@@ -215,7 +210,7 @@ func (e *Engine) NumShards() int {
 // the append can simply be retried; ErrIngestFull means the log is
 // exhausted and the corpus must be recompressed.
 func (e *Engine) Append(docs []Document) error {
-	if e.nt == nil && e.sh == nil {
+	if e.sh == nil {
 		return fmt.Errorf("ntadoc: append: %w", ErrNoIngest)
 	}
 	if len(docs) == 0 {
@@ -237,13 +232,7 @@ func (e *Engine) Append(docs []Document) error {
 	// harmlessly ride along so recovery can always rebuild the dictionary.
 	vocab := e.a.d.Len()
 	novel := append([]string(nil), e.a.d.Words()[e.committedVocab:vocab]...)
-	var err error
-	if e.nt != nil {
-		err = e.nt.Append(ads, uint32(vocab), novel)
-	} else {
-		err = e.sh.Append(ads, uint32(vocab), novel)
-	}
-	if err != nil {
+	if err := e.sh.Append(ads, uint32(vocab), novel); err != nil {
 		return err
 	}
 	e.committedVocab = vocab
@@ -258,13 +247,10 @@ func (e *Engine) Append(docs []Document) error {
 // committed append batch and every compaction, and serving layers key their
 // result caches by it.  Zero for engines without ingestion.
 func (e *Engine) CorpusEpoch() uint64 {
-	if e.nt != nil {
-		return e.nt.CorpusEpoch()
+	if e.sh == nil {
+		return 0
 	}
-	if e.sh != nil {
-		return e.sh.CorpusEpoch()
-	}
-	return 0
+	return e.sh.CorpusEpoch()
 }
 
 // IngestStats is the observable ingestion state of an engine.
@@ -283,10 +269,7 @@ type IngestStats struct {
 // without ingestion).
 func (e *Engine) IngestStats() IngestStats {
 	var st core.IngestStats
-	switch {
-	case e.nt != nil:
-		st = e.nt.IngestStats()
-	case e.sh != nil:
+	if e.sh != nil {
 		st = e.sh.IngestStats()
 	}
 	return IngestStats{
@@ -322,16 +305,10 @@ type CompactionPolicy struct {
 // returned stop function shuts the worker down; it is a no-op for engines
 // without ingestion.
 func (e *Engine) AutoCompact(p CompactionPolicy) (stop func()) {
-	var target core.Compactable
-	switch {
-	case e.nt != nil:
-		target = e.nt
-	case e.sh != nil:
-		target = e.sh
-	default:
+	if e.sh == nil {
 		return func() {}
 	}
-	c := core.StartCompactor(target, core.CompactionPolicy{
+	c := core.StartCompactor(e.sh, core.CompactionPolicy{
 		MaxDeltaDocs:  p.MaxDeltaDocs,
 		MaxDeltaBytes: p.MaxDeltaBytes,
 		Interval:      p.Interval,
@@ -341,74 +318,67 @@ func (e *Engine) AutoCompact(p CompactionPolicy) (stop func()) {
 
 // Compact folds all live delta grammars into the serving base immediately.
 func (e *Engine) Compact() error {
-	force := core.CompactionPolicy{MaxDeltaDocs: -1, MaxDeltaBytes: -1}
-	switch {
-	case e.nt != nil:
-		_, err := e.nt.CompactIfNeeded(force)
-		return err
-	case e.sh != nil:
-		_, err := e.sh.CompactIfNeeded(force)
-		return err
+	if e.sh == nil {
+		return fmt.Errorf("ntadoc: compact: %w", ErrNoIngest)
 	}
-	return fmt.Errorf("ntadoc: compact: %w", ErrNoIngest)
+	_, err := e.sh.CompactIfNeeded(core.CompactionPolicy{MaxDeltaDocs: -1, MaxDeltaBytes: -1})
+	return err
+}
+
+// runTask is the single-task path behind the six task helpers: the task's
+// op runs through the engine's executor and its result converts exactly
+// like a batch slot.  On error the result is empty, so a helper can return
+// its field alongside the error.
+func (e *Engine) runTask(t Task, termVectorK int) (*BatchResult, error) {
+	op, err := t.op(termVectorK)
+	if err != nil {
+		return &BatchResult{}, err
+	}
+	v, err := e.x.RunOp(op)
+	if err != nil {
+		return &BatchResult{}, err
+	}
+	return e.convertBatch([]Task{t}, []any{v}), nil
 }
 
 // WordCount returns the total occurrences of each word across the archive.
 func (e *Engine) WordCount() (map[string]uint64, error) {
-	counts, err := e.inner.WordCount()
-	if err != nil {
-		return nil, err
-	}
-	return e.convWordCounts(counts), nil
+	r, err := e.runTask(TaskWordCount, 0)
+	return r.WordCount, err
 }
 
 // Sort returns the distinct words with counts in alphabetical order.
 func (e *Engine) Sort() ([]TermCount, error) {
-	wf, err := e.inner.Sort()
-	if err != nil {
-		return nil, err
-	}
-	return e.convTermCounts(wf), nil
+	r, err := e.runTask(TaskSort, 0)
+	return r.Sort, err
 }
 
 // TermVectors returns each document's words by descending frequency,
 // truncated to k entries when k > 0.
 func (e *Engine) TermVectors(k int) ([][]TermCount, error) {
-	tv, err := e.inner.TermVectors(k)
-	if err != nil {
-		return nil, err
-	}
-	return e.convTermVectors(tv), nil
+	r, err := e.runTask(TaskTermVectors, k)
+	return r.TermVectors, err
 }
 
 // InvertedIndex maps each word to the names of the documents containing it,
 // in document order.
 func (e *Engine) InvertedIndex() (map[string][]string, error) {
-	inv, err := e.inner.InvertedIndex()
-	if err != nil {
-		return nil, err
-	}
-	return e.convInvertedIndex(inv), nil
+	r, err := e.runTask(TaskInvertedIndex, 0)
+	return r.InvertedIndex, err
 }
 
 // SequenceCount returns the occurrences of each three-word sequence, keyed
 // by the space-joined words.
 func (e *Engine) SequenceCount() (map[string]uint64, error) {
-	sc, err := e.inner.SequenceCount()
-	if err != nil {
-		return nil, err
-	}
-	return e.convSequenceCounts(sc), nil
+	r, err := e.runTask(TaskSequenceCount, 0)
+	return r.SequenceCount, err
 }
 
 // RankedInvertedIndex maps each three-word sequence to its documents in
 // decreasing order of occurrence.
 func (e *Engine) RankedInvertedIndex() (map[string][]DocCount, error) {
-	rii, err := e.inner.RankedInvertedIndex()
-	if err != nil {
-		return nil, err
-	}
-	return e.convRankedIndex(rii), nil
+	r, err := e.runTask(TaskRankedInvertedIndex, 0)
+	return r.RankedInvertedIndex, err
 }
 
 // TopTerms is a convenience: the n most frequent words across the archive,
@@ -435,28 +405,21 @@ func (e *Engine) TopTerms(n int) ([]TermCount, error) {
 }
 
 // PhaseTimes reports the modeled initialization and graph-traversal times of
-// the last task (N-TADOC engines only; zero for DRAM engines).
+// the last task (N-TADOC engines only; zero for DRAM engines).  Both are
+// critical paths across the shards; the traversal includes the
+// coordinator's lane dispatch and merge.
 func (e *Engine) PhaseTimes() (init, traversal time.Duration) {
-	if e.nt != nil {
-		return e.nt.InitSpan().Total(), e.nt.LastTraversalSpan().Total()
+	if e.sh == nil {
+		return 0, 0
 	}
-	if e.sh != nil {
-		return e.sh.InitSpan().Total(), e.sh.LastTraversalSpan().Total()
-	}
-	return 0, 0
+	return e.sh.InitSpan().Total(), e.sh.LastTraversalSpan().Total()
 }
 
 // MemoryFootprint reports the engine's storage residency: pool bytes on the
 // simulated device and estimated DRAM bytes.
 func (e *Engine) MemoryFootprint() (deviceBytes, dramBytes int64) {
-	if e.nt != nil {
-		return e.nt.NVMBytes(), e.nt.DRAMBytes()
+	if e.sh == nil {
+		return 0, e.x.(*tadoc.Engine).DRAMBytes()
 	}
-	if e.sh != nil {
-		return e.sh.NVMBytes(), e.sh.DRAMBytes()
-	}
-	if t, ok := e.inner.(*tadoc.Engine); ok {
-		return 0, t.DRAMBytes()
-	}
-	return 0, 0
+	return e.sh.NVMBytes(), e.sh.DRAMBytes()
 }

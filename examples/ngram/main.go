@@ -42,8 +42,14 @@ func main() {
 	fmt.Printf("compressed %d verses: %d tokens -> %d symbols (%.1f%%)\n\n",
 		st.Documents, st.Tokens, st.GrammarSymbols, st.CompressionRate*100)
 
-	poolPath := filepath.Join(os.TempDir(), "ngram-pool.nvm")
-	defer os.Remove(poolPath)
+	// The engine derives its pool file from PoolPath (one file per shard),
+	// so the example keeps them all in a private directory.
+	dir, err := os.MkdirTemp("", "ngram-pool")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	poolPath := filepath.Join(dir, "pool.nvm")
 
 	eng, err := ntadoc.NewEngine(archive, ntadoc.Options{PoolPath: poolPath})
 	if err != nil {

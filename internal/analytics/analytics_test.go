@@ -436,34 +436,18 @@ func TestPerFileSpanningDecomposition(t *testing.T) {
 	}
 }
 
-func TestRunDispatch(t *testing.T) {
-	files := [][]uint32{{0, 1, 0, 2, 1, 0}}
-	g, err := sequitur.Infer(files, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = g
-	e := stubEngine{}
+func TestOpForDispatch(t *testing.T) {
 	for _, task := range Tasks {
-		if err := Run(e, task); err != nil {
-			t.Errorf("Run(%v): %v", task, err)
+		op, err := OpFor(task)
+		if err != nil {
+			t.Errorf("OpFor(%v): %v", task, err)
+			continue
+		}
+		if op.Task() != task {
+			t.Errorf("OpFor(%v) returned an op for %v", task, op.Task())
 		}
 	}
-	if err := Run(e, Task(99)); err == nil {
+	if _, err := OpFor(Task(99)); err == nil {
 		t.Error("unknown task must error")
 	}
-}
-
-// stubEngine satisfies Engine with empty results.
-type stubEngine struct{}
-
-func (stubEngine) WordCount() (map[uint32]uint64, error) { return nil, nil }
-func (stubEngine) Sort() ([]WordFreq, error)             { return nil, nil }
-func (stubEngine) TermVectors(int) ([][]WordFreq, error) { return nil, nil }
-func (stubEngine) InvertedIndex() (map[uint32][]uint32, error) {
-	return nil, nil
-}
-func (stubEngine) SequenceCount() (map[Seq]uint64, error) { return nil, nil }
-func (stubEngine) RankedInvertedIndex() (map[Seq][]DocFreq, error) {
-	return nil, nil
 }

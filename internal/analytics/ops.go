@@ -105,8 +105,7 @@ func RunAs[T any](x Executor, op Op) (T, error) {
 	return out, nil
 }
 
-// DefaultTermVectorK is the per-document vector length used by the Run
-// dispatcher and the Ops registry.
+// DefaultTermVectorK is the per-document vector length of the Ops registry.
 const DefaultTermVectorK = 10
 
 // Ops returns one registered op per task, in the paper's task order, with

@@ -79,46 +79,3 @@ type DocFreq struct {
 	Doc  uint32
 	Freq uint64
 }
-
-// Engine is the uniform surface every analytics engine (uncompressed
-// baseline, DRAM TADOC, N-TADOC) implements.  Results are canonical:
-//
-//   - WordCount: global word -> frequency.
-//   - Sort: (word, freq) pairs in alphabetical order of the word strings.
-//   - TermVector: per document, its words ordered by descending frequency
-//     (word ID ascending on ties), truncated to k when k > 0.
-//   - InvertedIndex: word -> ascending list of documents containing it.
-//   - SequenceCount: global n-gram -> frequency.
-//   - RankedInvertedIndex: n-gram -> postings ordered by descending
-//     per-document frequency (document ascending on ties).
-type Engine interface {
-	WordCount() (map[uint32]uint64, error)
-	Sort() ([]WordFreq, error)
-	TermVectors(k int) ([][]WordFreq, error)
-	InvertedIndex() (map[uint32][]uint32, error)
-	SequenceCount() (map[Seq]uint64, error)
-	RankedInvertedIndex() (map[Seq][]DocFreq, error)
-}
-
-// Run dispatches task t on e, discarding the concrete result.  The harness
-// uses it when only timing and device statistics matter.
-func Run(e Engine, t Task) error {
-	var err error
-	switch t {
-	case WordCount:
-		_, err = e.WordCount()
-	case Sort:
-		_, err = e.Sort()
-	case TermVector:
-		_, err = e.TermVectors(DefaultTermVectorK)
-	case InvertedIndex:
-		_, err = e.InvertedIndex()
-	case SequenceCount:
-		_, err = e.SequenceCount()
-	case RankedInvertedIndex:
-		_, err = e.RankedInvertedIndex()
-	default:
-		err = fmt.Errorf("analytics: unknown task %d", int(t))
-	}
-	return err
-}

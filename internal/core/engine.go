@@ -18,7 +18,7 @@ import (
 // Engine is the N-TADOC analytics engine.  After initialization the grammar
 // lives entirely in the NVM pool; analytics read only pool-resident
 // structures, so every access is charged by the device cost model.  The
-// engine implements analytics.Engine.
+// engine implements analytics.Executor.
 type Engine struct {
 	opts Options
 	dev  *nvm.SimDevice
@@ -66,8 +66,6 @@ type Engine struct {
 	// sessions carry their own exec bound to session-local state instead.
 	run exec
 }
-
-var _ analytics.Engine = (*Engine)(nil)
 
 // New builds an engine from a compressed grammar: it sizes and creates the
 // simulated device, then runs the initialization phase (§IV-A) — pruning

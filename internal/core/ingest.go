@@ -10,16 +10,15 @@ import (
 	"github.com/text-analytics/ntadoc/internal/analytics"
 	"github.com/text-analytics/ntadoc/internal/cfg"
 	"github.com/text-analytics/ntadoc/internal/dict"
-	"github.com/text-analytics/ntadoc/internal/metrics"
 	"github.com/text-analytics/ntadoc/internal/nvm"
 	"github.com/text-analytics/ntadoc/internal/sequitur"
 )
 
-// Online ingestion: durable live appends with a per-engine delta grammar.
+// Online ingestion: durable live appends with a per-shard delta grammar.
 //
-// The durable truth of an appendable engine is its original pool plus a
-// monotonic append log reserved below the initialization watermark (so
-// traversal truncation can never reclaim it).  Each Append writes one
+// The durable truth of an appendable shard engine is its original pool plus
+// a monotonic append log reserved below the initialization watermark (so
+// traversal truncation can never reclaim it).  Each AppendAt writes one
 // CRC-framed record carrying the batch's documents — tokens, names, and the
 // novel word strings the batch interned — then commits it by advancing the
 // region header's watermark through a pmem redo transaction.  The record
@@ -29,16 +28,16 @@ import (
 // Serving is layered over that durable log in DRAM: a live sequitur
 // DeltaBuilder extends a delta grammar one document at a time, and after
 // each commit the builder is snapshotted into a small engine over a fresh
-// device, published as a refcounted deltaView.  Queries pin the view, run
-// the base traversal and the delta traversal independently, and merge the
-// results through analytics.MergeUnits — bit-identical to rebuilding the
-// engine from the concatenated corpus, because every analytics result
-// depends only on the per-file token streams.
+// device, published as a refcounted deltaView.  The sharded coordinator pins
+// every shard's view, runs the base and delta traversals independently, and
+// merges the results through analytics.MergeUnits — bit-identical to
+// rebuilding the engine from the concatenated corpus, because every
+// analytics result depends only on the per-file token streams.
 //
 // Compaction is a serving-only promotion: the base grammar and the delta
 // snapshot are merged (cfg.MergeDelta) into a new engine that becomes the
 // serving tail; the durable log is never rewritten (it is monotonic — when
-// the region fills, Append returns ErrIngestFull).  A crash at any point
+// the region fills, AppendAt returns ErrIngestFull).  A crash at any point
 // during compaction therefore recovers the pre-compaction state trivially:
 // recovery replays the log into a fresh delta over the original base.
 
@@ -144,11 +143,6 @@ type ingestState struct {
 	promoted *Engine    // guarded by viewMu: compacted serving tail
 	retired  []*Engine  // guarded by viewMu: previous tails, closed on close
 
-	// external marks a shard engine inside a sharded set: the coordinator
-	// merges deltas globally (with document maps), so the engine's own query
-	// paths serve base-only results and never self-merge or tail-redirect.
-	external bool
-
 	epoch atomic.Uint64 // committed batches + compactions (corpus epoch)
 }
 
@@ -174,8 +168,8 @@ func newIngestState(e *Engine, acc nvm.Accessor, g *cfg.Grammar) *ingestState {
 
 // newServingIngest builds the serving-only state compaction attaches to a
 // promoted tail engine.
-func newServingIngest(e *Engine, g *cfg.Grammar, external bool) *ingestState {
-	st := &ingestState{e: e, baseG: g, vocab: e.numWords, external: external}
+func newServingIngest(e *Engine, g *cfg.Grammar) *ingestState {
+	st := &ingestState{e: e, baseG: g, vocab: e.numWords}
 	st.db, _ = sequitur.NewDeltaBuilder(e.numWords, g)
 	e.dev.Share()
 	return st
@@ -409,27 +403,16 @@ func decodeAppendRecord(rec []byte) (IngestBatch, int64, error) {
 	return b, int64(8 + ln), nil
 }
 
-// Append appends a batch of documents to the engine: the record is made
-// durable in the append log (body first, then the watermark commit), the
-// delta grammar is extended, and a fresh delta view is published.  vocab is
-// the vocabulary size after interning the batch; novel lists the words the
-// batch interned, in ID order (vocab - len(novel) ... vocab - 1).  Appends
-// are serialized against each other but never block in-flight query
-// sessions, which keep reading the previously published view.
-func (e *Engine) Append(docs []AppendDoc, vocab uint32, novel []string) error {
-	if e.ingest == nil {
-		return ErrNoIngest
-	}
-	st := e.ingest
-	st.mu.Lock()
-	base := uint32(uint64(e.numFiles) + st.docs)
-	st.mu.Unlock()
-	return e.AppendAt(docs, vocab, novel, base)
-}
-
-// AppendAt is Append with an explicit global index for the batch's first
-// document — the sharded coordinator routes whole batches to one shard and
-// numbers documents globally across shards.
+// AppendAt appends a batch of documents to the engine's durable append log
+// and serving delta: the record is made durable (body first, then the
+// watermark commit), the delta grammar is extended, and a fresh delta view
+// is published.  vocab is the vocabulary size after interning the batch;
+// novel lists the words the batch interned, in ID order (vocab - len(novel)
+// ... vocab - 1).  globalBase is the global index of the batch's first
+// document: the sharded coordinator routes whole batches to one shard and
+// numbers documents globally across shards.  Appends are serialized against
+// each other but never block in-flight query sessions, which keep reading
+// the previously published view.
 func (e *Engine) AppendAt(docs []AppendDoc, vocab uint32, novel []string, globalBase uint32) error {
 	st := e.ingest
 	if st == nil {
@@ -526,23 +509,12 @@ func (st *ingestState) extendServing(ts *ingestState, docs []AppendDoc, vocab ui
 	return ts.rebuildDeltaView()
 }
 
-// Compact merges the serving tail's delta grammar into its base and promotes
+// compact merges the serving tail's delta grammar into its base and promotes
 // the merged engine as the new serving tail.  The durable log is untouched
 // (recovery always replays the full delta over the original base), so a
 // crash at any point during compaction is harmless.  Appends arriving while
 // the merge builds are rejected with ErrCompacting; queries are never
 // blocked — they keep pinning the pre-compaction view until the swap.
-func (e *Engine) Compact() error {
-	st := e.ingest
-	if st == nil {
-		return ErrNoIngest
-	}
-	if st.external {
-		return errEngine("compact", fmt.Errorf("shard engines compact through the sharded coordinator"))
-	}
-	return st.compact()
-}
-
 func (st *ingestState) compact() error {
 	st.mu.Lock()
 	if st.compacting {
@@ -576,7 +548,7 @@ func (st *ingestState) compact() error {
 	if err != nil {
 		return errEngine("compact", err)
 	}
-	ne.ingest = newServingIngest(ne, merged, st.external)
+	ne.ingest = newServingIngest(ne, merged)
 	// Swap: the merged engine becomes the serving tail; the old tail's view
 	// is retired (appends were blocked, so the snapshot is current) and the
 	// old tail itself is kept alive for in-flight pins until close.
@@ -655,66 +627,11 @@ func (e *Engine) IngestStats() IngestStats {
 	return out
 }
 
-// ingestEnv is the Env merged-query folds consume: whole-corpus shape (base
-// plus appended documents), charging to the caller's meter, no sequence-key
-// resolution (unit results arrive already Seq-keyed).
-type ingestEnv struct {
-	d      *dict.Dictionary
-	nfiles int
-	meter  *metrics.Meter
-}
-
-func (e ingestEnv) Dict() *dict.Dictionary     { return e.d }
-func (e ingestEnv) NumFiles() int              { return e.nfiles }
-func (e ingestEnv) SeqOf(uint64) analytics.Seq { panic("core: merge env resolves no sequence keys") }
-func (e ingestEnv) Charge(n, perOp int64)      { e.meter.Charge(n, perOp) }
-
 // runDeltaOps executes ops against a pinned delta view through a transient
 // query session (the view's engine is read-shared by concurrent queries).
 func (v *deltaView) runDeltaOps(ops []analytics.Op) ([]any, error) {
 	sess := v.eng.NewSession()
-	return sess.runOpsLocal(nil, ops)
-}
-
-// mergeDelta merges base results with the pinned view's delta results.
-// Unsharded appends are globally contiguous after the base documents, so the
-// delta unit merges with a plain DocBase.
-func mergeDelta(ops []analytics.Op, base, delta []any, docBase uint32, env ingestEnv) ([]any, error) {
-	out := make([]any, len(ops))
-	for j, op := range ops {
-		r, err := analytics.MergeUnits(op, env, []analytics.MergeUnit{
-			{Result: base[j], DocBase: 0},
-			{Result: delta[j], DocBase: docBase},
-		})
-		if err != nil {
-			return nil, err
-		}
-		out[j] = r
-	}
-	return out, nil
-}
-
-// serveMerged is the shared read path of an appendable engine: redirect to
-// the compacted serving tail, pin the delta view, run base and delta, merge.
-// runBase executes ops against the given serving engine (the engine task
-// path or a session, per caller).
-func (st *ingestState) serveMerged(ops []analytics.Op, meter *metrics.Meter,
-	runBase func(t *Engine) ([]any, error)) ([]any, error) {
-	t, v := st.pinServing()
-	defer v.release()
-	base, err := runBase(t)
-	if err != nil {
-		return nil, err
-	}
-	if v == nil || v.eng == nil {
-		return base, nil
-	}
-	delta, err := v.runDeltaOps(ops)
-	if err != nil {
-		return nil, err
-	}
-	env := ingestEnv{d: st.e.d, nfiles: int(t.numFiles + v.docs), meter: meter}
-	return mergeDelta(ops, base, delta, t.numFiles, env)
+	return sess.runOps(nil, ops)
 }
 
 // recoverIngest reattaches the append-log region after Reopen and replays

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/text-analytics/ntadoc/internal/analytics"
+	"github.com/text-analytics/ntadoc/internal/cfg"
 	"github.com/text-analytics/ntadoc/internal/dict"
 	"github.com/text-analytics/ntadoc/internal/nvm"
 	"github.com/text-analytics/ntadoc/internal/sequitur"
@@ -39,6 +40,22 @@ func refResults(t *testing.T, d *dict.Dictionary, files [][]uint32, k int) []any
 	}
 	return want
 }
+
+// newOneShard builds a one-shard engine set over g: every appendable engine
+// serves its appends through the sharded coordinator, so unsharded corpora
+// are tested as K=1.
+func newOneShard(t testing.TB, g *cfg.Grammar, d *dict.Dictionary, opts Options) *ShardedEngine {
+	t.Helper()
+	se, err := NewSharded([]*cfg.Grammar{g}, d, opts)
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	t.Cleanup(func() { se.Close() })
+	return se
+}
+
+// forceCompaction compacts every shard with a live delta.
+var forceCompaction = CompactionPolicy{MaxDeltaDocs: -1, MaxDeltaBytes: -1}
 
 func appendDocs(files [][]uint32, base int, n int) []AppendDoc {
 	docs := make([]AppendDoc, 0, n)
@@ -84,7 +101,7 @@ func TestAppendBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
-	e := newEngine(t, g, d, Options{Sequences: true, IngestCap: 1 << 20})
+	e := newOneShard(t, g, d, Options{Sequences: true, IngestCap: 1 << 20})
 	checkOps(t, e, d, files[:base], "pre-append")
 
 	vocab := uint32(d.Len())
@@ -99,8 +116,8 @@ func TestAppendBitIdentity(t *testing.T) {
 		// Sessions opened after the append observe it too.
 		checkOps(t, e.NewSession(), d, files[:visible], fmt.Sprintf("session after batch %d", bi))
 		if bi == 1 {
-			if err := e.Compact(); err != nil {
-				t.Fatalf("Compact: %v", err)
+			if _, err := e.CompactIfNeeded(forceCompaction); err != nil {
+				t.Fatalf("CompactIfNeeded: %v", err)
 			}
 			checkOps(t, e, d, files[:visible], "after compaction")
 		}
@@ -130,7 +147,7 @@ func TestAppendNovelWords(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
-	e := newEngine(t, g, d, Options{Sequences: true, IngestCap: 1 << 20})
+	e := newOneShard(t, g, d, Options{Sequences: true, IngestCap: 1 << 20})
 
 	novel := []string{"xenon", "ytterbium"}
 	ids := make([]uint32, len(novel))
@@ -145,14 +162,14 @@ func TestAppendNovelWords(t *testing.T) {
 	checkOps(t, e, d, all, "after novel append")
 
 	// Recovery must re-intern the novel words in order.
-	dev := e.Device()
+	dev := e.Shard(0).Device()
 	if err := dev.Crash(); err != nil {
 		t.Fatalf("Crash: %v", err)
 	}
 	d2 := rebuildDict(t, d, len(d.Words())-len(novel))
-	re, _, err := Reopen(dev, d2, Options{Sequences: true, IngestCap: 1 << 20})
+	re, _, err := ReopenSharded([]*nvm.SimDevice{dev}, d2, Options{Sequences: true, IngestCap: 1 << 20})
 	if err != nil {
-		t.Fatalf("Reopen: %v", err)
+		t.Fatalf("ReopenSharded: %v", err)
 	}
 	defer re.Close()
 	for i, w := range novel {
@@ -178,7 +195,7 @@ func rebuildDict(t *testing.T, d *dict.Dictionary, n int) *dict.Dictionary {
 // TestAppendValidation covers the append error contract.
 func TestAppendValidation(t *testing.T) {
 	files, d, g := corpus(t, 73, 3, 100, 20)
-	plain := newEngine(t, g, d, Options{})
+	plain := newOneShard(t, g, d, Options{})
 	if err := plain.Append(appendDocs(files, 0, 1), uint32(d.Len()), nil); !errors.Is(err, ErrNoIngest) {
 		t.Errorf("append without ingestion: err = %v, want ErrNoIngest", err)
 	}
@@ -186,7 +203,7 @@ func TestAppendValidation(t *testing.T) {
 		t.Errorf("plain engine query after ErrNoIngest: %v", err)
 	}
 
-	e := newEngine(t, g, d, Options{IngestCap: 256})
+	e := newOneShard(t, g, d, Options{IngestCap: 256})
 	if err := e.Append(appendDocs(files, 0, 1), uint32(d.Len())-1, nil); err == nil {
 		t.Error("shrinking vocabulary accepted")
 	}
@@ -219,26 +236,26 @@ func TestIngestRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
-	e := newEngine(t, g, d, Options{Sequences: true, IngestCap: 1 << 20})
+	e := newOneShard(t, g, d, Options{Sequences: true, IngestCap: 1 << 20})
 	vocab := uint32(d.Len())
 	for i := base; i < len(files); i++ {
 		if err := e.Append(appendDocs(files, i, 1), vocab, nil); err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
 	}
-	dev := e.Device()
+	dev := e.Shard(0).Device()
 	if err := dev.Crash(); err != nil {
 		t.Fatalf("Crash: %v", err)
 	}
-	re, _, err := Reopen(dev, d, Options{Sequences: true, IngestCap: 1 << 20})
+	re, _, err := ReopenSharded([]*nvm.SimDevice{dev}, d, Options{Sequences: true, IngestCap: 1 << 20})
 	if err != nil {
-		t.Fatalf("Reopen: %v", err)
+		t.Fatalf("ReopenSharded: %v", err)
 	}
 	defer re.Close()
 	if got := re.CorpusEpoch(); got != uint64(len(files)-base) {
 		t.Errorf("recovered epoch %d, want %d", got, len(files)-base)
 	}
-	if got := len(re.IngestBatches()); got != len(files)-base {
+	if got := len(re.Shard(0).IngestBatches()); got != len(files)-base {
 		t.Errorf("recovered %d batches, want %d", got, len(files)-base)
 	}
 	checkOps(t, re, d, files, "recovered")
@@ -279,7 +296,7 @@ func TestShardedAppendBitIdentity(t *testing.T) {
 				checkOps(t, se.NewSession(), d, files[:visible], fmt.Sprintf("session after batch %d", bi))
 			}
 			// Force-compact every shard with a delta and re-verify.
-			if _, err := se.CompactIfNeeded(CompactionPolicy{MaxDeltaDocs: -1, MaxDeltaBytes: -1}); err != nil {
+			if _, err := se.CompactIfNeeded(forceCompaction); err != nil {
 				t.Fatalf("CompactIfNeeded: %v", err)
 			}
 			checkOps(t, se, d, files[:visible], "after compaction")
@@ -344,7 +361,7 @@ func TestAppendConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
-	e := newEngine(t, g, d, Options{Sequences: true, IngestCap: 1 << 20})
+	e := newOneShard(t, g, d, Options{Sequences: true, IngestCap: 1 << 20})
 	vocab := uint32(d.Len())
 
 	refs := make(map[int][]any, len(files)-base+1)
@@ -421,7 +438,7 @@ func TestCompactorWorker(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
-	e := newEngine(t, g, d, Options{Sequences: true, IngestCap: 1 << 20})
+	e := newOneShard(t, g, d, Options{Sequences: true, IngestCap: 1 << 20})
 	c := StartCompactor(e, CompactionPolicy{MaxDeltaDocs: 2, Interval: time.Millisecond})
 	defer c.Stop()
 	vocab := uint32(d.Len())
@@ -455,5 +472,91 @@ func TestCompactorWorker(t *testing.T) {
 	checkOps(t, e, d, files, "after background compaction")
 	if st := e.IngestStats(); st.Compactions == 0 {
 		t.Error("stats report no compactions")
+	}
+}
+
+// TestFailoverServesAckedAppends: followers carry the append log (it rides
+// the drained commit stream like every other durable write), so when every
+// primary dies after a run of appends — with or without a compaction in
+// between — the promoted followers serve every acknowledged append,
+// bit-identically to an engine rebuilt from scratch over the whole corpus.
+func TestFailoverServesAckedAppends(t *testing.T) {
+	files, d, all := corpus(t, 79, 9, 150, 25)
+	const base = 5
+	ops := analytics.Ops()
+	rebuilt := newEngine(t, all, d, Options{Sequences: true})
+	want, err := rebuilt.RunOps(ops)
+	if err != nil {
+		t.Fatalf("rebuilt RunOps: %v", err)
+	}
+	for _, k := range []int{1, 2} {
+		for _, p := range []Persistence{PhaseLevel, OpLevel} {
+			for _, compact := range []bool{false, true} {
+				t.Run(fmt.Sprintf("k=%d/%v/compact=%v", k, p, compact), func(t *testing.T) {
+					gs, err := sequitur.InferShards(files[:base], uint32(d.Len()), k)
+					if err != nil {
+						t.Fatalf("InferShards: %v", err)
+					}
+					se, err := NewSharded(gs, d, Options{
+						Sequences:   true,
+						Persistence: p,
+						IngestCap:   1 << 20,
+						Replication: Replication{Followers: 1, Mode: ShipSync},
+					})
+					if err != nil {
+						t.Fatalf("NewSharded: %v", err)
+					}
+					t.Cleanup(func() { se.Close() })
+					vocab := uint32(d.Len())
+					for i := base; i < len(files); i++ {
+						if err := se.Append(appendDocs(files, i, 1), vocab, nil); err != nil {
+							t.Fatalf("Append %d: %v", i, err)
+						}
+						if compact && i == base+1 {
+							if _, err := se.CompactIfNeeded(forceCompaction); err != nil {
+								t.Fatalf("CompactIfNeeded: %v", err)
+							}
+						}
+					}
+					dead := make([]*nvm.SimDevice, se.NumShards())
+					for i := range dead {
+						dead[i] = se.Shard(i).Device()
+						dead[i].FailFromPersistEvent(dead[i].PersistEvents())
+					}
+					check := func(when string) {
+						t.Helper()
+						got, err := se.RunOps(ops)
+						if err != nil {
+							t.Fatalf("RunOps %s: %v", when, err)
+						}
+						for i, op := range ops {
+							if !reflect.DeepEqual(got[i], want[i]) {
+								t.Errorf("op %s %s differs from the rebuilt engine", op.Name(), when)
+							}
+						}
+					}
+					// Shards still serving from their primary fail over here.
+					check("over dead primaries")
+					// A compacted shard serves from its merged tail on a fresh
+					// device, so no query reaches the dead primary; promote its
+					// follower explicitly.
+					for i, dev := range dead {
+						if se.Shard(i).Device() == dev {
+							if !compact {
+								t.Errorf("shard %d served over a dead primary without failing over", i)
+							}
+							if err := se.failoverShard(i, nvm.ErrFailPoint); err != nil {
+								t.Fatalf("failover shard %d: %v", i, err)
+							}
+						}
+					}
+					if n := se.FailoverCount(); n != k {
+						t.Errorf("%d failovers, want one per shard (%d)", n, k)
+					}
+					check("after failover")
+					checkOps(t, se.NewSession(), d, files, "session after failover")
+				})
+			}
+		}
 	}
 }

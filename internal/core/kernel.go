@@ -313,29 +313,15 @@ func (x *exec) runPlan(ops []analytics.Op) (results []any, resultOffs []int64, e
 	return results, resultOffs, nil
 }
 
-// runOps is the engine task path.  On an appendable engine it serves the
-// merged corpus: the batch runs against the compacted serving tail and the
-// pinned delta view, and the unit results merge bit-identically to a
-// from-scratch rebuild over the appended corpus.  Shard engines inside a
-// sharded set (ingest.external) serve base-only results — the coordinator
-// merges deltas globally with document maps.
+// runOps is the engine task path: one traversal phase over this engine's
+// own pool.  Ops execute fused, and the last op's task and result table are
+// what the phase commit records — the same durable state a sequential run of
+// the batch would leave.  An appendable engine serves its base image only;
+// the sharded coordinator pins its delta views and merges them globally.
 func (e *Engine) runOps(what string, ops []analytics.Op) ([]any, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	if st := e.ingest; st != nil && !st.external {
-		return st.serveMerged(ops, e.meter, func(t *Engine) ([]any, error) {
-			return t.runOpsLocal(what, ops)
-		})
-	}
-	return e.runOpsLocal(what, ops)
-}
-
-// runOpsLocal executes one traversal phase over this engine's own pool,
-// ignoring any serving chain: ops execute fused, and the last op's task and
-// result table are what the phase commit records — the same durable state a
-// sequential run of the batch would leave.
-func (e *Engine) runOpsLocal(what string, ops []analytics.Op) ([]any, error) {
 	for _, op := range ops {
 		if op.Keys() == analytics.KeySequences && !e.seqEnabled {
 			return nil, ErrNoSequences
@@ -365,11 +351,7 @@ func (e *Engine) RunOps(ops []analytics.Op) ([]any, error) {
 
 // RunOp implements analytics.Executor.
 func (e *Engine) RunOp(op analytics.Op) (any, error) {
-	return e.runOp(op.Name(), op)
-}
-
-func (e *Engine) runOp(what string, op analytics.Op) (any, error) {
-	results, err := e.runOps(what, []analytics.Op{op})
+	results, err := e.runOps(op.Name(), []analytics.Op{op})
 	if err != nil {
 		return nil, err
 	}
@@ -377,57 +359,3 @@ func (e *Engine) runOp(what string, op analytics.Op) (any, error) {
 }
 
 var _ analytics.Executor = (*Engine)(nil)
-
-// WordCount implements analytics.Engine.
-func (e *Engine) WordCount() (map[uint32]uint64, error) {
-	v, err := e.runOp("word count", analytics.WordCountOp{})
-	if err != nil {
-		return nil, err
-	}
-	return v.(map[uint32]uint64), nil
-}
-
-// Sort implements analytics.Engine.
-func (e *Engine) Sort() ([]analytics.WordFreq, error) {
-	v, err := e.runOp("sort", analytics.SortOp{})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]analytics.WordFreq), nil
-}
-
-// TermVectors implements analytics.Engine.
-func (e *Engine) TermVectors(k int) ([][]analytics.WordFreq, error) {
-	v, err := e.runOp("term vectors", analytics.TermVectorsOp{K: k})
-	if err != nil {
-		return nil, err
-	}
-	return v.([][]analytics.WordFreq), nil
-}
-
-// InvertedIndex implements analytics.Engine.
-func (e *Engine) InvertedIndex() (map[uint32][]uint32, error) {
-	v, err := e.runOp("inverted index", analytics.InvertedIndexOp{})
-	if err != nil {
-		return nil, err
-	}
-	return v.(map[uint32][]uint32), nil
-}
-
-// SequenceCount implements analytics.Engine.
-func (e *Engine) SequenceCount() (map[analytics.Seq]uint64, error) {
-	v, err := e.runOp("sequence count", analytics.SequenceCountOp{})
-	if err != nil {
-		return nil, err
-	}
-	return v.(map[analytics.Seq]uint64), nil
-}
-
-// RankedInvertedIndex implements analytics.Engine.
-func (e *Engine) RankedInvertedIndex() (map[analytics.Seq][]analytics.DocFreq, error) {
-	v, err := e.runOp("ranked inverted index", analytics.RankedInvertedIndexOp{})
-	if err != nil {
-		return nil, err
-	}
-	return v.(map[analytics.Seq][]analytics.DocFreq), nil
-}

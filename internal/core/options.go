@@ -129,7 +129,7 @@ type Options struct {
 	// engine takes ownership (Close discards it).
 	Device *nvm.SimDevice
 	// ShardIndex and ShardCount stamp the engine's pool with its position in
-	// a sharded engine set (both zero for an unsharded engine).  NewSharded
+	// a sharded engine set (both zero for a standalone engine).  NewSharded
 	// fills them per shard; sharded recovery validates the stamps so a
 	// device set assembled from mismatched shards is rejected.
 	ShardIndex uint32

@@ -150,7 +150,7 @@ func TestShardFailedTyped(t *testing.T) {
 
 	// Disarming clears the latent failure; the engine is usable again.
 	dev.DisarmFailPoints()
-	if _, err := se.WordCount(); err != nil {
+	if _, err := analytics.RunAs[map[uint32]uint64](se, analytics.WordCountOp{}); err != nil {
 		t.Fatalf("disarmed WordCount: %v", err)
 	}
 }
@@ -303,7 +303,7 @@ func TestReopenShardedFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
 	}
-	want, err := se.WordCount()
+	want, err := analytics.RunAs[map[uint32]uint64](se, analytics.WordCountOp{})
 	if err != nil {
 		t.Fatalf("WordCount: %v", err)
 	}
@@ -344,7 +344,7 @@ func TestReopenShardedFailover(t *testing.T) {
 	if len(infos) != 2 {
 		t.Fatalf("got %d recovery infos, want 2", len(infos))
 	}
-	got, err := re.WordCount()
+	got, err := analytics.RunAs[map[uint32]uint64](re, analytics.WordCountOp{})
 	if err != nil {
 		t.Fatalf("recovered WordCount: %v", err)
 	}

@@ -9,13 +9,13 @@ import (
 
 // Session is a read-only query context over an engine's pool: it runs
 // analytics ops through the same operation kernel as the engine's task
-// methods, but keeps every piece of traversal state — rule weights, the
-// Kahn queue, result counters — in session-local DRAM, so it never mutates
-// the pool.  Multiple sessions may query one engine concurrently from
-// different goroutines.
+// path (RunOp/RunOps), but keeps every piece of traversal state — rule
+// weights, the Kahn queue, result counters — in session-local DRAM, so it
+// never mutates the pool.  Multiple sessions may query one engine
+// concurrently from different goroutines.
 //
 // Sessions model the post-load query phase: they must not run concurrently
-// with engine task methods or Close (those mutate traversal scratch in the
+// with the engine task path or Close (those mutate traversal scratch in the
 // pool), only with each other.  Opening the first session switches the
 // simulated device into shared mode, which serializes its bookkeeping;
 // device statistics then aggregate the traffic of all sessions.
@@ -53,30 +53,13 @@ func (s *Session) RunOpsContext(ctx context.Context, ops []analytics.Op) ([]any,
 	return s.runOps(ctx, ops)
 }
 
-// runOps serves the session's batch.  On an appendable engine the session
-// serves the merged corpus exactly like the engine task path: the base runs
-// on the compacted serving tail (through a transient session when the tail
-// is not the engine this session was opened on), the pinned delta view runs
-// through its own transient session, and the unit results merge.  Long-lived
-// pooled sessions therefore always observe the latest committed append.
+// runOps executes the batch against this session's own engine pool.  Like
+// the engine task path it serves the base image only; the sharded
+// coordinator merges delta views on top.
 func (s *Session) runOps(ctx context.Context, ops []analytics.Op) ([]any, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	if st := s.e.ingest; st != nil && !st.external {
-		return st.serveMerged(ops, &s.meter, func(t *Engine) ([]any, error) {
-			if t == s.e {
-				return s.runOpsLocal(ctx, ops)
-			}
-			return t.NewSession().runOpsLocal(ctx, ops)
-		})
-	}
-	return s.runOpsLocal(ctx, ops)
-}
-
-// runOpsLocal executes the batch against this session's own engine pool,
-// ignoring any serving chain.
-func (s *Session) runOpsLocal(ctx context.Context, ops []analytics.Op) ([]any, error) {
 	for _, op := range ops {
 		if op.Keys() == analytics.KeySequences && !s.e.seqEnabled {
 			return nil, ErrNoSequences

@@ -28,8 +28,8 @@ import (
 // With Options.Replication, each shard additionally ships its drained
 // commit stream to follower devices, and the scatter-gather path fails over
 // when a primary dies mid-batch: the lane promotes a follower, recovers it
-// under the unsharded recovery contract, re-dispatches the shard's ops, and
-// the merged result stays bit-identical to the healthy run.
+// under the single-engine recovery contract (Reopen), re-dispatches the
+// shard's ops, and the merged result stays bit-identical to the healthy run.
 //
 // Modeled time follows the parallel execution: a phase's Total is the
 // critical path (the slowest shard) plus the coordinator's serial merge,
@@ -203,13 +203,6 @@ func NewSharded(gs []*cfg.Grammar, d *dict.Dictionary, opts Options) (*ShardedEn
 		return nil, errEngine("new sharded", err)
 	}
 	se.deltaMaps = make([][]uint32, len(se.shards))
-	for _, sh := range se.shards {
-		if sh.ingest != nil {
-			// The coordinator owns global delta merging; shard engines serve
-			// base-only results.
-			sh.ingest.external = true
-		}
-	}
 	spans := make([]metrics.Span, len(se.shards))
 	for i, sh := range se.shards {
 		spans[i] = sh.InitSpan()
@@ -256,8 +249,8 @@ func (se *ShardedEngine) attachReplication(repl Replication) error {
 }
 
 // ReopenSharded recovers a sharded engine from its per-shard devices after
-// a crash or restart: each shard recovers independently under the unsharded
-// recovery contract (devs[i] carries shard i's pool).  Pool shard stamps
+// a crash or restart: each shard recovers independently under the
+// single-engine recovery contract (devs[i] carries shard i's pool).  Pool shard stamps
 // are validated against the assembly order, so a reordered or foreign
 // device set fails with ErrShardMismatch rather than silently merging the
 // wrong documents.  When opts.Replication injects follower devices, a shard
@@ -369,10 +362,6 @@ func (se *ShardedEngine) recoverIngestMaps() error {
 	}
 	var all []owned
 	for i, sh := range se.shards {
-		if sh.ingest == nil {
-			continue
-		}
-		sh.ingest.external = true
 		for _, b := range sh.IngestBatches() {
 			all = append(all, owned{b: b, shard: i})
 		}
@@ -527,7 +516,7 @@ func (p *ingestPins) release() {
 // Append appends a batch of documents to the sharded corpus: the whole batch
 // routes to the least-loaded shard's durable append log (a batch never spans
 // shards), and its documents take the next global positions in append order.
-// vocab and novel follow the same contract as Engine.Append: vocab is the
+// vocab and novel follow the same contract as Engine.AppendAt: vocab is the
 // shared dictionary's size after interning the batch, novel its newly
 // interned words in order.
 func (se *ShardedEngine) Append(docs []AppendDoc, vocab uint32, novel []string) error {
@@ -613,8 +602,6 @@ func (se *ShardedEngine) CompactIfNeeded(p CompactionPolicy) (bool, error) {
 	}
 	return did, nil
 }
-
-var _ Compactable = (*ShardedEngine)(nil)
 
 // shardedEnv is the Env the coordinator offers merging folds: whole-corpus
 // shape, coordinator-side CPU charging, no sequence-key resolution (shard
@@ -714,9 +701,6 @@ func (se *ShardedEngine) ensureReplica(i int) *Session {
 	if err != nil {
 		_ = clone.Discard()
 		return nil
-	}
-	if e.ingest != nil {
-		e.ingest.external = true
 	}
 	se.replicas[i] = e
 	se.replicaSess[i] = e.NewSession()
@@ -871,12 +855,12 @@ func (se *ShardedEngine) failoverUnit(u unit, cause error) error {
 // failoverShard retires shard i's primary and recovers the shard from its
 // freshest follower: queued ship batches are applied (they live in
 // coordinator memory, which survives the device failure), the follower is
-// promoted and reopened under the unsharded recovery contract — or, when
-// its image predates a completed initialization, rebuilt from the retained
-// shard grammar — its stamps are validated exactly as in ReopenSharded, and
-// the remaining followers are re-seeded from the new primary.  The measured
-// recovery span is folded into the batch's traversal span as serial
-// critical-path work.  Returns nil when the shard is ready to re-dispatch.
+// promoted and reopened under the single-engine recovery contract — or,
+// when its image predates a completed initialization, rebuilt from the
+// retained shard grammar — its stamps are validated exactly as in
+// ReopenSharded, and the remaining followers are re-seeded from the new
+// primary.  The measured recovery span is folded into the batch's traversal
+// span as serial critical-path work.  Returns nil when the shard is ready to re-dispatch.
 func (se *ShardedEngine) failoverShard(i int, cause error) error {
 	se.failMu.Lock()
 	defer se.failMu.Unlock()
@@ -932,11 +916,6 @@ func (se *ShardedEngine) failoverShard(i int, cause error) error {
 		return &ErrShardFailed{Shard: i, Cause: errors.Join(cause, rerr)}
 	}
 	sp.Stop()
-	if ne.ingest != nil {
-		// The promoted follower replayed the shard's durable append log into
-		// a fresh delta; the coordinator keeps merging it globally.
-		ne.ingest.external = true
-	}
 	se.shards[i] = ne
 	se.retiredEng = append(se.retiredEng, old)
 	se.retiredReps = append(se.retiredReps, rep)
@@ -969,7 +948,7 @@ func (se *ShardedEngine) takeFailoverSpans() []metrics.Span {
 // RunOps implements analytics.Executor: the batch executes fused on every
 // shard concurrently, and the per-shard results are merged into corpus-wide
 // results.  results[i] corresponds to ops[i] with the op's canonical result
-// type, bit-identical to an unsharded engine over the same corpus — also
+// type, bit-identical to a single engine over the whole corpus — also
 // when a shard fails over to its follower mid-batch, and when replica reads
 // split the batch across primary and follower images.
 func (se *ShardedEngine) RunOps(ops []analytics.Op) ([]any, error) {
@@ -1031,66 +1010,11 @@ func (se *ShardedEngine) RunOp(op analytics.Op) (any, error) {
 }
 
 var _ analytics.Executor = (*ShardedEngine)(nil)
-var _ analytics.Engine = (*ShardedEngine)(nil)
-
-// WordCount implements analytics.Engine.
-func (se *ShardedEngine) WordCount() (map[uint32]uint64, error) {
-	v, err := se.RunOp(analytics.WordCountOp{})
-	if err != nil {
-		return nil, err
-	}
-	return v.(map[uint32]uint64), nil
-}
-
-// Sort implements analytics.Engine.
-func (se *ShardedEngine) Sort() ([]analytics.WordFreq, error) {
-	v, err := se.RunOp(analytics.SortOp{})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]analytics.WordFreq), nil
-}
-
-// TermVectors implements analytics.Engine.
-func (se *ShardedEngine) TermVectors(k int) ([][]analytics.WordFreq, error) {
-	v, err := se.RunOp(analytics.TermVectorsOp{K: k})
-	if err != nil {
-		return nil, err
-	}
-	return v.([][]analytics.WordFreq), nil
-}
-
-// InvertedIndex implements analytics.Engine.
-func (se *ShardedEngine) InvertedIndex() (map[uint32][]uint32, error) {
-	v, err := se.RunOp(analytics.InvertedIndexOp{})
-	if err != nil {
-		return nil, err
-	}
-	return v.(map[uint32][]uint32), nil
-}
-
-// SequenceCount implements analytics.Engine.
-func (se *ShardedEngine) SequenceCount() (map[analytics.Seq]uint64, error) {
-	v, err := se.RunOp(analytics.SequenceCountOp{})
-	if err != nil {
-		return nil, err
-	}
-	return v.(map[analytics.Seq]uint64), nil
-}
-
-// RankedInvertedIndex implements analytics.Engine.
-func (se *ShardedEngine) RankedInvertedIndex() (map[analytics.Seq][]analytics.DocFreq, error) {
-	v, err := se.RunOp(analytics.RankedInvertedIndexOp{})
-	if err != nil {
-		return nil, err
-	}
-	return v.(map[analytics.Seq][]analytics.DocFreq), nil
-}
 
 // ShardedSession is a read-only query context over every shard: one session
 // per shard engine, run in parallel and merged like the engine's task path,
 // with all merge-side state session-local.  Sessions model the post-load
-// query phase and must not run concurrently with engine task methods or
+// query phase and must not run concurrently with the engine task path or
 // Close, only with each other.  Sessions never mutate devices, so they have
 // no failover path; a device error surfaces as ErrShardFailed.
 type ShardedSession struct {

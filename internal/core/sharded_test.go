@@ -69,7 +69,7 @@ func TestShardCountInvariance(t *testing.T) {
 						}
 					}
 					// Singleton path and typed engine methods.
-					wc, err := se.WordCount()
+					wc, err := analytics.RunAs[map[uint32]uint64](se, analytics.WordCountOp{})
 					if err != nil {
 						t.Fatalf("sharded WordCount(k=%d, %s): %v", k, p.path, err)
 					}
@@ -175,7 +175,7 @@ func TestShardedSpansAndAccounting(t *testing.T) {
 		t.Error("DRAMBytes not positive")
 	}
 
-	if _, err := se.WordCount(); err != nil {
+	if _, err := analytics.RunAs[map[uint32]uint64](se, analytics.WordCountOp{}); err != nil {
 		t.Fatalf("WordCount: %v", err)
 	}
 	trav := se.LastTraversalSpan()
@@ -208,7 +208,7 @@ func TestReopenSharded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
 	}
-	want, err := se.WordCount()
+	want, err := analytics.RunAs[map[uint32]uint64](se, analytics.WordCountOp{})
 	if err != nil {
 		t.Fatalf("WordCount: %v", err)
 	}
@@ -227,7 +227,7 @@ func TestReopenSharded(t *testing.T) {
 	if len(infos) != 2 {
 		t.Fatalf("got %d recovery infos, want 2", len(infos))
 	}
-	got, err := re.WordCount()
+	got, err := analytics.RunAs[map[uint32]uint64](re, analytics.WordCountOp{})
 	if err != nil {
 		t.Fatalf("recovered WordCount: %v", err)
 	}

@@ -231,13 +231,7 @@ func goldenRun(cfg Config, g *cfg.Grammar, d *dict.Dictionary, files [][]uint32,
 	if err != nil {
 		return nil, 0, fmt.Errorf("crashcheck: golden %s: %w", cfg.Task, err)
 	}
-	var want any
-	if cfg.Task == "seqcount" {
-		want = analytics.RefSequenceCount(files)
-	} else {
-		want = analytics.RefWordCount(files)
-	}
-	if !reflect.DeepEqual(result, want) {
+	if !reflect.DeepEqual(result, refResult(cfg.Task, files)) {
 		return nil, 0, fmt.Errorf("crashcheck: golden %s result does not match reference", cfg.Task)
 	}
 	id, task, ok := e.CommittedCounts()
@@ -256,11 +250,13 @@ func runTask(g *cfg.Grammar, d *dict.Dictionary, opts core.Options, task string)
 	return runOn(e, task)
 }
 
-func runOn(e *core.Engine, task string) (any, error) {
+// runOn runs the workload task on x: a single engine's task path or the
+// sharded coordinator's scatter-gather.
+func runOn(x analytics.Executor, task string) (any, error) {
 	if task == "seqcount" {
-		return e.SequenceCount()
+		return x.RunOp(analytics.SequenceCountOp{})
 	}
-	return e.WordCount()
+	return x.RunOp(analytics.WordCountOp{})
 }
 
 // subset is one way the pending set reaches (or fails to reach) media.

@@ -1,6 +1,6 @@
-// Online-ingestion crash exploration: the workload is a live engine taking
-// durable appends (with a mid-stream compaction), and the invariant matrix
-// is the append commit protocol's contract:
+// Online-ingestion crash exploration: the workload is a live one-shard
+// engine set taking durable appends (with a mid-stream compaction), and the
+// invariant matrix is the append commit protocol's contract:
 //
 //  1. an acknowledged append survives any later crash (body, then fence,
 //     then atomic header commit — the ack happens after the drain);
@@ -27,10 +27,14 @@ import (
 // the small corpora crash exploration uses.
 const ingestCap = 1 << 16
 
+// forceCompaction compacts every shard with a live delta, whatever its size.
+var forceCompaction = core.CompactionPolicy{MaxDeltaDocs: -1, MaxDeltaBytes: -1}
+
 // RunIngest executes the ingestion crash exploration: a golden run counts
-// the primary device's persistence events while the engine takes one append
+// the shard device's persistence events while the engine takes one append
 // batch per document (compacting mid-stream); each crash point then replays
-// the workload on an armed device and checks every recovery invariant.
+// the workload on an armed device, recovers it with core.ReopenSharded, and
+// checks every recovery invariant.
 func RunIngest(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Files < 4 {
@@ -116,18 +120,19 @@ func RunIngest(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// ingestWorkload builds an appendable engine on dev and drives the append
-// stream: one batch per document past base, a forced compaction at the
-// midpoint, then one task run.  It returns how many appends were
-// acknowledged; a batch error stops the stream (the process "crashed").
-// want, when non-nil, requires the final task result to match (golden runs).
+// ingestWorkload builds an appendable one-shard engine set on dev and
+// drives the append stream: one batch per document past base, a forced
+// compaction at the midpoint, then one task run.  It returns how many
+// appends were acknowledged; a batch error stops the stream (the process
+// "crashed").  want, when non-nil, requires the final task result to match
+// (golden runs).
 func ingestWorkload(dev *nvm.SimDevice, g *cfg.Grammar, d *dict.Dictionary,
 	opts core.Options, files [][]uint32, base int, task string, want any) (int, error) {
 	o := opts
-	o.Device = dev
+	o.ShardDevices = []*nvm.SimDevice{dev}
 	// The engine is deliberately not closed: the caller clones and discards
 	// the device itself (Close would close the device under it).
-	e, err := core.New(g, d, o)
+	e, err := core.NewSharded([]*cfg.Grammar{g}, d, o)
 	if err != nil {
 		return 0, err
 	}
@@ -143,7 +148,7 @@ func ingestWorkload(dev *nvm.SimDevice, g *cfg.Grammar, d *dict.Dictionary,
 		if i == mid {
 			// Compaction is serving-only: the durable log is untouched, so a
 			// failure here must not affect what recovery sees.
-			_ = e.Compact()
+			_, _ = e.CompactIfNeeded(forceCompaction)
 		}
 	}
 	res, err := runOn(e, task)
@@ -170,7 +175,7 @@ func checkIngestRecovery(dev *nvm.SimDevice, d *dict.Dictionary, opts core.Optio
 			viols = append(viols, fmt.Sprintf("recovery panicked: %v", r))
 		}
 	}()
-	e, info, err := core.Reopen(dev, d, opts)
+	e, infos, err := core.ReopenSharded([]*nvm.SimDevice{dev}, d, opts)
 	if err != nil {
 		if errors.Is(err, core.ErrNeedsReload) {
 			if acked > 0 {
@@ -183,7 +188,7 @@ func checkIngestRecovery(dev *nvm.SimDevice, d *dict.Dictionary, opts core.Optio
 		return "error", []string{"unexpected recovery error: " + err.Error()}
 	}
 	defer e.Close()
-	state = fmt.Sprintf("phase%d", info.Phase)
+	state = fmt.Sprintf("phase%d", infos[0].Phase)
 
 	st := e.IngestStats()
 	b := int(st.Batches)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/text-analytics/ntadoc/internal/analytics"
 	"github.com/text-analytics/ntadoc/internal/cfg"
 	"github.com/text-analytics/ntadoc/internal/datagen"
 	"github.com/text-analytics/ntadoc/internal/dict"
@@ -65,9 +66,9 @@ func TestDRAMBytesGrowsWithCaching(t *testing.T) {
 	if base <= 0 {
 		t.Fatalf("base DRAM estimate %d", base)
 	}
-	e.WordCount()
-	e.TermVectors(5)
-	e.SequenceCount()
+	analytics.RunAs[map[uint32]uint64](e, analytics.WordCountOp{})
+	analytics.RunAs[[][]analytics.WordFreq](e, analytics.TermVectorsOp{K: 5})
+	analytics.RunAs[map[analytics.Seq]uint64](e, analytics.SequenceCountOp{})
 	grown := e.DRAMBytes()
 	if grown <= base {
 		t.Errorf("DRAM estimate did not grow: %d -> %d", base, grown)
@@ -80,11 +81,11 @@ func TestEmptyCorpus(t *testing.T) {
 		t.Fatalf("Infer: %v", err)
 	}
 	e := newEngine(t, g, dict.New(), Auto)
-	wc, err := e.WordCount()
+	wc, err := analytics.RunAs[map[uint32]uint64](e, analytics.WordCountOp{})
 	if err != nil || len(wc) != 0 {
 		t.Errorf("WordCount on empty = %v, %v", wc, err)
 	}
-	sc, err := e.SequenceCount()
+	sc, err := analytics.RunAs[map[analytics.Seq]uint64](e, analytics.SequenceCountOp{})
 	if err != nil || len(sc) != 0 {
 		t.Errorf("SequenceCount on empty = %v, %v", sc, err)
 	}
@@ -100,7 +101,7 @@ func TestSingleWordFiles(t *testing.T) {
 		t.Fatalf("Infer: %v", err)
 	}
 	e := newEngine(t, g, d, TopDown)
-	inv, err := e.InvertedIndex()
+	inv, err := analytics.RunAs[map[uint32][]uint32](e, analytics.InvertedIndexOp{})
 	if err != nil {
 		t.Fatalf("InvertedIndex: %v", err)
 	}
@@ -109,7 +110,7 @@ func TestSingleWordFiles(t *testing.T) {
 		t.Errorf("InvertedIndex = %v", inv)
 	}
 	// Files shorter than SeqLen yield no sequences.
-	sc, _ := e.SequenceCount()
+	sc, _ := analytics.RunAs[map[analytics.Seq]uint64](e, analytics.SequenceCountOp{})
 	if len(sc) != 0 {
 		t.Errorf("SequenceCount = %v", sc)
 	}

@@ -18,8 +18,7 @@ import (
 	"github.com/text-analytics/ntadoc/internal/nvm"
 )
 
-// Engine scans device-resident tokens.  It implements analytics.Engine and
-// analytics.Executor.
+// Engine scans device-resident tokens.  It implements analytics.Executor.
 type Engine struct {
 	dev   nvm.Device
 	d     *dict.Dictionary
@@ -30,10 +29,7 @@ type Engine struct {
 	scanBuf []uint32 // scanFile scratch, reused across files
 }
 
-var (
-	_ analytics.Engine   = (*Engine)(nil)
-	_ analytics.Executor = (*Engine)(nil)
-)
+var _ analytics.Executor = (*Engine)(nil)
 
 // tokenBytes is the stored width of one token.
 const tokenBytes = 4
@@ -356,36 +352,6 @@ func (e *Engine) RunOp(op analytics.Op) (any, error) {
 		return nil, err
 	}
 	return results[0], nil
-}
-
-// WordCount implements analytics.Engine.
-func (e *Engine) WordCount() (map[uint32]uint64, error) {
-	return analytics.RunAs[map[uint32]uint64](e, analytics.WordCountOp{})
-}
-
-// Sort implements analytics.Engine.
-func (e *Engine) Sort() ([]analytics.WordFreq, error) {
-	return analytics.RunAs[[]analytics.WordFreq](e, analytics.SortOp{})
-}
-
-// TermVectors implements analytics.Engine.
-func (e *Engine) TermVectors(k int) ([][]analytics.WordFreq, error) {
-	return analytics.RunAs[[][]analytics.WordFreq](e, analytics.TermVectorsOp{K: k})
-}
-
-// InvertedIndex implements analytics.Engine.
-func (e *Engine) InvertedIndex() (map[uint32][]uint32, error) {
-	return analytics.RunAs[map[uint32][]uint32](e, analytics.InvertedIndexOp{})
-}
-
-// SequenceCount implements analytics.Engine.
-func (e *Engine) SequenceCount() (map[analytics.Seq]uint64, error) {
-	return analytics.RunAs[map[analytics.Seq]uint64](e, analytics.SequenceCountOp{})
-}
-
-// RankedInvertedIndex implements analytics.Engine.
-func (e *Engine) RankedInvertedIndex() (map[analytics.Seq][]analytics.DocFreq, error) {
-	return analytics.RunAs[map[analytics.Seq][]analytics.DocFreq](e, analytics.RankedInvertedIndexOp{})
 }
 
 // Meter exposes the engine's modeled CPU meter for measurement.

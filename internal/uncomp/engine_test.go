@@ -33,7 +33,7 @@ func TestLoadRejectsSmallDevice(t *testing.T) {
 
 func TestEmptyCorpus(t *testing.T) {
 	e, _ := load(t, nil, dict.New())
-	wc, err := e.WordCount()
+	wc, err := analytics.RunAs[map[uint32]uint64](e, analytics.WordCountOp{})
 	if err != nil || len(wc) != 0 {
 		t.Errorf("WordCount = %v, %v", wc, err)
 	}
@@ -49,7 +49,7 @@ func TestEmptyFiles(t *testing.T) {
 		d.Intern(w)
 	}
 	e, _ := load(t, files, d)
-	inv, err := e.InvertedIndex()
+	inv, err := analytics.RunAs[map[uint32][]uint32](e, analytics.InvertedIndexOp{})
 	if err != nil {
 		t.Fatalf("InvertedIndex: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestScanChargesDeviceTraffic(t *testing.T) {
 	files, d := spec.GenerateWithDict()
 	e, dev := load(t, files, d)
 	dev.ResetStats()
-	if _, err := e.WordCount(); err != nil {
+	if _, err := analytics.RunAs[map[uint32]uint64](e, analytics.WordCountOp{}); err != nil {
 		t.Fatalf("WordCount: %v", err)
 	}
 	st := dev.Stats()
@@ -87,7 +87,7 @@ func TestSequencesCrossBatchBoundaries(t *testing.T) {
 		f[i] = uint32(i % 7)
 	}
 	e, _ := load(t, [][]uint32{f}, dict.New())
-	sc, err := e.SequenceCount()
+	sc, err := analytics.RunAs[map[analytics.Seq]uint64](e, analytics.SequenceCountOp{})
 	if err != nil {
 		t.Fatalf("SequenceCount: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/text-analytics/ntadoc/internal/analytics"
 	"github.com/text-analytics/ntadoc/internal/core"
 	"github.com/text-analytics/ntadoc/internal/nvm"
 )
@@ -20,22 +21,17 @@ import (
 // with engine task methods, Recover, or Close (those mutate pool scratch),
 // only with each other.  One session serves one batch at a time.
 type QuerySession struct {
-	e   *Engine
-	one *core.Session
-	sh  *core.ShardedSession
+	e  *Engine
+	sh *core.ShardedSession
 }
 
 // NewSession opens a query session.  Sessions require an N-TADOC medium
 // (NVM/SSD/HDD); the DRAM baseline engine has no session support.
 func (e *Engine) NewSession() (*QuerySession, error) {
-	switch {
-	case e.nt != nil:
-		return &QuerySession{e: e, one: e.nt.NewSession()}, nil
-	case e.sh != nil:
-		return &QuerySession{e: e, sh: e.sh.NewSession()}, nil
-	default:
+	if e.sh == nil {
 		return nil, fmt.Errorf("ntadoc: query sessions require an N-TADOC medium")
 	}
+	return &QuerySession{e: e, sh: e.sh.NewSession()}, nil
 }
 
 // RunBatch executes the tasks as one fused traversal against session-local
@@ -47,9 +43,9 @@ func (s *QuerySession) RunBatch(ctx context.Context, tasks ...Task) (*BatchResul
 }
 
 // RunSpec executes a canonicalized batch with cancellation.  On
-// cancellation the error chain carries ctx.Err() (for sharded engines inside
-// a core.ErrShardFailed wrapper); test with errors.Is against
-// context.Canceled or context.DeadlineExceeded.
+// cancellation the error chain carries ctx.Err() inside a
+// core.ErrShardFailed wrapper; test with errors.Is against context.Canceled
+// or context.DeadlineExceeded.
 func (s *QuerySession) RunSpec(ctx context.Context, spec BatchSpec) (*BatchResult, error) {
 	if len(spec.tasks) == 0 {
 		return &BatchResult{}, nil
@@ -58,16 +54,11 @@ func (s *QuerySession) RunSpec(ctx context.Context, spec BatchSpec) (*BatchResul
 	if err != nil {
 		return nil, err
 	}
-	var results []any
-	if s.one != nil {
-		results, err = s.one.RunOpsContext(ctx, ops)
-	} else {
-		results, err = s.sh.RunOpsContext(ctx, ops)
-	}
+	results, err := s.sh.RunOpsContext(ctx, ops)
 	if err != nil {
 		return nil, err
 	}
-	return s.e.convertBatch(spec, results), nil
+	return s.e.convertBatch(spec.tasks, results), nil
 }
 
 // IsDeviceFailure reports whether err originated in a simulated device
@@ -106,16 +97,16 @@ func (e *Engine) BuildTag() uint32 {
 }
 
 // FailoverCount reports how many shard failovers the engine has performed
-// (sharded engines only; 0 otherwise).
+// (0 for DRAM engines).
 func (e *Engine) FailoverCount() int {
-	if e.sh != nil {
-		return e.sh.FailoverCount()
+	if e.sh == nil {
+		return 0
 	}
-	return 0
+	return e.sh.FailoverCount()
 }
 
 // LiveFollowers reports the number of live follower devices per shard, or
-// nil for unsharded or unreplicated engines.
+// nil for DRAM or unreplicated engines.
 func (e *Engine) LiveFollowers() []int {
 	if e.sh == nil {
 		return nil
@@ -133,12 +124,9 @@ func (e *Engine) LiveFollowers() []int {
 }
 
 // ShardStrategies reports the per-file traversal direction the cost-based
-// planner resolved for each shard (one entry for unsharded N-TADOC engines,
-// nil for DRAM engines).
+// planner resolved for each shard (one entry for unsharded archives, nil for
+// DRAM engines).
 func (e *Engine) ShardStrategies() []string {
-	if e.nt != nil {
-		return []string{e.nt.Strategy().String()}
-	}
 	if e.sh == nil {
 		return nil
 	}
@@ -172,10 +160,7 @@ type DeviceCounters struct {
 // for DRAM engines, which have no simulated device).
 func (e *Engine) DeviceCounters() DeviceCounters {
 	var st nvm.Stats
-	switch {
-	case e.nt != nil:
-		st = e.nt.Device().Stats()
-	case e.sh != nil:
+	if e.sh != nil {
 		st = e.sh.DeviceStats()
 	}
 	return DeviceCounters{
@@ -196,11 +181,11 @@ func (e *Engine) DeviceCounters() DeviceCounters {
 }
 
 // Recover drives the engine's failover machinery after a query session
-// surfaced a device failure: a sharded engine re-dispatches a minimal
-// engine-path batch, which retires any dead primary by promoting and
-// recovering one of its followers (bit-identical results, see
-// core.ShardedEngine).  Engines without a failover path (unsharded or
-// unreplicated) return an error.
+// surfaced a device failure: it re-dispatches a minimal engine-path batch,
+// which retires any dead primary by promoting and recovering one of its
+// followers (bit-identical results, see core.ShardedEngine).  A shard
+// without a live follower cannot be recovered, and its failure is returned;
+// DRAM engines have no devices and return an error.
 //
 // Recover runs on the engine task path: callers must quiesce query sessions
 // first and must discard existing sessions afterwards — they may reference
@@ -209,6 +194,6 @@ func (e *Engine) Recover() error {
 	if e.sh == nil {
 		return fmt.Errorf("ntadoc: engine has no failover path to recover through")
 	}
-	_, err := e.sh.WordCount()
+	_, err := e.sh.RunOp(analytics.WordCountOp{})
 	return err
 }
