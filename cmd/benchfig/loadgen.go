@@ -112,12 +112,13 @@ func writeLoadgenJSON(path, dataset string, cells []loadgenCell) error {
 	}{
 		Benchmark: "benchfig -fig loadgen",
 		Date:      time.Now().Format("2006-01-02"),
-		Machine: fmt.Sprintf("shared Linux container (nproc=%d); wall-clock latencies are noisy under external load",
-			runtime.NumCPU()),
+		Machine: fmt.Sprintf("shared Linux container (nproc=%d, %s); wall-clock latencies are noisy under external load",
+			runtime.NumCPU(), runtime.Version()),
 		Methodology: fmt.Sprintf("The serving layer (internal/server: session pool, singleflight coalescer, "+
 			"LRU result cache) stood up over a 2-shard replicated archive of dataset %s and driven over real "+
 			"loopback HTTP by N concurrent clients cycling through the default mix (each task individually plus "+
-			"the fully fused six-task batch).  Unlike the modeled figures, latencies here are client-observed "+
+			"the fully fused six-task batch).  Clients count cache hits and coalesces from the Ntadoc-Cache "+
+			"response header and drain bodies without decoding them.  Unlike the modeled figures, latencies here are client-observed "+
 			"wall-clock, so absolute numbers vary with the machine; the shape (cache-dominated p50, "+
 			"traversal-bound tail) is the signal.", dataset),
 		Dataset: dataset,

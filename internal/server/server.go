@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -56,7 +57,8 @@ func (c Config) withDefaults() Config {
 // is amortized across every request: concurrent queries borrow read-only
 // sessions from the pool (admission-controlled), identical in-flight
 // batches coalesce into one traversal, and hot results are served from an
-// LRU cache keyed by (generation, canonical batch signature).
+// LRU cache of the live generation's results, keyed by canonical batch
+// signature.
 //
 // When a query session surfaces a device failure (a dead shard primary),
 // the server quiesces the pool, drives the engine's failover recovery, and
@@ -204,17 +206,16 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, spec ntadoc.Batch
 		}
 	}
 
-	gen := s.Generation()
-	key := gen + "|" + spec.Signature()
-	if body, ok := s.cache.get(key); ok {
+	gen, sig := s.Generation(), spec.Signature()
+	if body, ok := s.cache.get(gen, sig); ok {
 		s.cacheHits.Add(1)
 		s.reqOK.Add(1)
-		s.writeResponse(w, gen, spec, body, true, false)
+		writeResponse(w, gen, sig, body, true, false)
 		return
 	}
 	s.cacheMisses.Add(1)
 
-	body, shared, err := s.coal.do(ctx, key, func() ([]byte, error) {
+	body, shared, err := s.coal.do(ctx, gen+"|"+sig, func() ([]byte, error) {
 		sess, err := s.pool.acquire(ctx)
 		if err != nil {
 			return nil, err
@@ -231,7 +232,12 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, spec ntadoc.Batch
 		if err != nil {
 			return nil, err
 		}
-		s.cache.put(key, b)
+		// A result whose generation the server has since left (an append
+		// committed or a recovery ran mid-flight) can never be hit again:
+		// serve it, but do not cache it.
+		if gen == s.Generation() {
+			s.cache.put(gen, sig, b)
+		}
 		return b, nil
 	})
 	if err != nil {
@@ -242,20 +248,43 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, spec ntadoc.Batch
 		s.coalesced.Add(1)
 	}
 	s.reqOK.Add(1)
-	s.writeResponse(w, gen, spec, body, false, shared)
+	writeResponse(w, gen, sig, body, false, shared)
 }
 
-func (s *Server) writeResponse(w http.ResponseWriter, gen string, spec ntadoc.BatchSpec, body []byte, cached, coalesced bool) {
-	w.Header().Set("Content-Type", "application/json")
-	resp := Response{
-		Generation: gen,
-		Signature:  spec.Signature(),
-		Cached:     cached,
-		Coalesced:  coalesced,
-		Result:     body,
+// writeResponse writes the Response envelope around body, an EncodeResult
+// output that is already compact and HTML-escaped, so it goes out verbatim:
+// the envelope head, the body, then the closing brace.  The bytes equal
+// json.NewEncoder(w).Encode(&Response{...}) over the same fields, without
+// re-scanning the body on every response.
+func writeResponse(w http.ResponseWriter, gen, sig string, body []byte, cached, coalesced bool) {
+	// Marshaling a string cannot fail; it escapes exactly as the encoder does.
+	g, _ := json.Marshal(gen)
+	sg, _ := json.Marshal(sig)
+	head := make([]byte, 0, 64+len(g)+len(sg))
+	head = append(append(head, `{"generation":`...), g...)
+	head = append(append(head, `,"signature":`...), sg...)
+	outcome := "miss"
+	if cached {
+		head = append(head, `,"cached":true`...)
+		outcome = "hit"
 	}
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(&resp) // client gone: nothing useful to do
+	if coalesced {
+		head = append(head, `,"coalesced":true`...)
+		if !cached {
+			outcome = "coalesced"
+		}
+	}
+	head = append(head, `,"result":`...)
+	const tail = "}\n"
+
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(head)+len(body)+len(tail)))
+	h.Set(CacheHeader, outcome)
+	// A failed write means the client is gone: nothing useful to do.
+	_, _ = w.Write(head)
+	_, _ = w.Write(body)
+	_, _ = io.WriteString(w, tail)
 }
 
 // fail maps an execution error to its HTTP status, triggering recovery on

@@ -57,6 +57,18 @@ func getResponse(t *testing.T, h http.Handler, url string) (Response, *httptest.
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatalf("decoding %s: %v (body %q)", url, err, rec.Body.String())
 		}
+		// The outcome header must agree with the body's flags.  Errorf,
+		// not Fatalf: concurrent requests call this helper.
+		want := "miss"
+		switch {
+		case resp.Cached:
+			want = "hit"
+		case resp.Coalesced:
+			want = "coalesced"
+		}
+		if got := rec.Header().Get(CacheHeader); got != want {
+			t.Errorf("%s: %s = %q, body flags cached=%v coalesced=%v", url, CacheHeader, got, resp.Cached, resp.Coalesced)
+		}
 	}
 	return resp, rec
 }

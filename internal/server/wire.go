@@ -1,7 +1,7 @@
 // Package server is the query-serving layer over a loaded archive: it owns
 // a pool of read-only query sessions with admission control, a coalescer
-// that deduplicates identical in-flight batches, and an LRU cache of op
-// results keyed by (archive generation, canonical batch signature), and
+// that deduplicates identical in-flight batches, and an LRU cache of the
+// live generation's encoded results keyed by canonical batch signature, and
 // exposes the analytics ops over a JSON HTTP API plus the operational
 // surface (/metrics, /healthz, /debug/engine) the daemon ships with.
 //
@@ -157,7 +157,16 @@ type IngestInfo struct {
 	LastDocuments []string `json:"last_documents,omitempty"`
 }
 
-// Response is the envelope of /v1/query and /v1/batch.
+// CacheHeader names the response header that reports how a /v1/query or
+// /v1/batch result was produced: "hit" (served from the result cache),
+// "miss" (this request traversed) or "coalesced" (shared from a concurrent
+// identical request's traversal).  It agrees with the envelope's Cached and
+// Coalesced flags, so a client can count outcomes without decoding bodies.
+const CacheHeader = "Ntadoc-Cache"
+
+// Response is the envelope of /v1/query and /v1/batch.  The server writes
+// it by splicing the encoded-once Result bytes into the envelope, not with
+// encoding/json; clients decode it as this type.
 type Response struct {
 	// Generation identifies the archive build and recovery epoch the result
 	// was computed against; it changes on failover recovery, invalidating
